@@ -26,8 +26,8 @@ void Run() {
                "shifts (N=3, SLA: 10 ms @ 99.9%) ===\n\n";
 
   AdaptiveControllerOptions options;
-  options.consistency_probability = 0.999;
-  options.max_t_visibility_ms = 10.0;
+  options.sla.fresh_probability = 0.999;
+  options.sla.staleness_bound_ms = 10.0;
   options.trials_per_eval = 60000;
   options.seed = 7007;
   AdaptiveConfigController controller({3, 1, 1}, options);

@@ -38,8 +38,8 @@ void Run() {
     constraints.min_n = 2;
     constraints.max_n = 5;
     constraints.min_write_quorum = 1;
-    constraints.consistency_probability = 0.999;
-    constraints.max_t_visibility_ms = bound;
+    constraints.sla.fresh_probability = 0.999;
+    constraints.sla.staleness_bound_ms = bound;
     const auto best = optimizer.Optimize(constraints, {});
     if (!best.ok()) {
       table.AddRow({FormatDouble(bound, 1), "(unsatisfiable)", "-", "-",
@@ -67,8 +67,8 @@ void Run() {
     constraints.min_n = 2;
     constraints.max_n = 5;
     constraints.min_write_quorum = 2;
-    constraints.consistency_probability = 0.999;
-    constraints.max_t_visibility_ms = bound;
+    constraints.sla.fresh_probability = 0.999;
+    constraints.sla.staleness_bound_ms = bound;
     const auto best = optimizer.Optimize(constraints, {});
     if (!best.ok()) {
       durable.AddRow(

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "core/sla.h"
 #include "dist/production.h"
@@ -38,15 +39,20 @@ int main(int argc, char** argv) {
   constraints.min_n = 2;
   constraints.max_n = 5;
   constraints.min_write_quorum = min_w;
-  constraints.consistency_probability = probability;
-  constraints.max_t_visibility_ms = max_t_ms;
+  constraints.sla.fresh_probability = probability;
+  constraints.sla.staleness_bound_ms = max_t_ms;
 
   pbs::SlaObjective objective;
   objective.latency_percentile = 99.9;
   objective.read_weight = read_fraction;
   objective.write_weight = 1.0 - read_fraction;
 
-  const auto candidates = optimizer.EnumerateAll(constraints, objective);
+  const auto enumerated = optimizer.EnumerateAll(constraints, objective);
+  if (!enumerated.ok()) {
+    std::cerr << enumerated.status().message() << "\n";
+    return 1;
+  }
+  const std::vector<pbs::SlaCandidate>& candidates = enumerated.value();
   if (candidates.empty() || !candidates.front().feasible) {
     std::cout << "No configuration satisfies this SLA within N <= "
               << constraints.max_n << ". Relax the window or probability.\n";

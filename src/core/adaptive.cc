@@ -2,87 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "core/analytic.h"
-#include "core/latency.h"
-#include "core/tvisibility.h"
 #include "util/math.h"
 #include "util/stats.h"
 
 namespace pbs {
-
-Status SlaTarget::Validate() const {
-  if (!enabled()) return Status::Ok();
-  if (!(fresh_probability > 0.0 && fresh_probability < 1.0)) {
-    return Status::InvalidArgument(
-        "sla: fresh_probability must be in (0, 1), got " +
-        std::to_string(fresh_probability));
-  }
-  if (!(staleness_bound_ms >= 0.0)) {
-    return Status::InvalidArgument("sla: staleness_bound_ms must be >= 0");
-  }
-  if (!(read_p99_ms > 0.0)) {
-    return Status::InvalidArgument("sla: read_p99_ms must be > 0");
-  }
-  return Status::Ok();
-}
-
-StatusOr<SlaTarget> SlaTarget::Parse(const std::string& text) {
-  SlaTarget sla;
-  bool have_p = false, have_t = false, have_p99 = false;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string clause = text.substr(pos, comma - pos);
-    pos = comma + 1;
-    double* field = nullptr;
-    std::string value;
-    if (clause.rfind("p99<=", 0) == 0) {
-      field = &sla.read_p99_ms;
-      value = clause.substr(5);
-      have_p99 = true;
-    } else if (clause.rfind("p=", 0) == 0) {
-      field = &sla.fresh_probability;
-      value = clause.substr(2);
-      have_p = true;
-    } else if (clause.rfind("t=", 0) == 0) {
-      field = &sla.staleness_bound_ms;
-      value = clause.substr(2);
-      have_t = true;
-    } else {
-      return Status::InvalidArgument("sla: unknown clause '" + clause +
-                                     "' (want p=, t=, p99<=)");
-    }
-    char* end = nullptr;
-    *field = std::strtod(value.c_str(), &end);
-    if (value.empty() || end != value.c_str() + value.size() ||
-        !std::isfinite(*field)) {
-      return Status::InvalidArgument("sla: bad number in clause '" + clause +
-                                     "'");
-    }
-  }
-  if (!have_p || !have_t || !have_p99) {
-    return Status::InvalidArgument(
-        "sla: need all of p=, t=, p99<= in '" + text + "'");
-  }
-  // A parsed target must be an *enabled* one; p <= 0 would otherwise slip
-  // through Validate() as "SLA disabled".
-  if (!sla.enabled()) {
-    return Status::InvalidArgument(
-        "sla: fresh_probability must be in (0, 1), got " +
-        std::to_string(sla.fresh_probability));
-  }
-  Status status = sla.Validate();
-  if (!status.ok()) return status;
-  return sla;
-}
 
 double MixtureQuantileSorted(const std::vector<double>& lo_sorted,
                              double weight_lo,
@@ -237,67 +165,29 @@ MixedQuorumPredictor::MixedQuorumPredictor(const SlaTarget& sla,
     : sla_(sla), model_(std::move(model)), options_(options) {
   assert(model_ != nullptr && model_->num_replicas() == probe.n);
   assert(probe.IsValid());
-  assert(options_.trials > 0);
-  if (options_.backend == PredictorBackend::kMonteCarlo) {
-    resolved_ = PredictorBackend::kMonteCarlo;
-    return;
+  PredictorOptions predictor;
+  predictor.trials = options_.trials;
+  predictor.seed = options_.validation_seed;
+  predictor.collect_propagation = false;
+  predictor.exec = options_.exec;
+  predictor.backend = options_.backend;
+  predictor.grid = options_.grid;
+  predictor.validation = options_.validation;
+  auto resolved = ResolvePredictorBackend({probe.n, probe.r_hi, probe.w},
+                                          model_, predictor);
+  assert((resolved.ok() || options_.backend != PredictorBackend::kAnalytic) &&
+         "backend=analytic requires an IID latency model and a valid grid");
+  if (resolved.ok()) {
+    resolved_ = std::move(resolved.value());
+  } else {
+    resolved_.note = "using Monte Carlo: " + resolved.status().message();
   }
-  const WarsDistributions* legs = model_->IidLegs();
-  if (legs == nullptr) {
-    assert(options_.backend != PredictorBackend::kAnalytic &&
-           "backend=analytic requires an IID latency model");
-    note_ = PredictorBackendName(options_.backend) + std::string(": ") +
-            model_->Describe() +
-            " is not IID across replicas; using Monte Carlo";
-    resolved_ = PredictorBackend::kMonteCarlo;
-    return;
-  }
-  auto scenario = MakeAnalyticScenario(*legs, options_.grid);
-  if (!scenario.ok()) {
-    assert(options_.backend != PredictorBackend::kAnalytic &&
-           "invalid analytic grid options");
-    note_ = PredictorBackendName(options_.backend) + std::string(": ") +
-            scenario.status().message() + "; using Monte Carlo";
-    resolved_ = PredictorBackend::kMonteCarlo;
-    return;
-  }
-  scenario_ = std::move(scenario.value());
-  if (options_.backend == PredictorBackend::kAuto) {
-    // Spot-check the probe quorum: the analytic evaluation must match a
-    // small Monte Carlo run on the two quantities decisions hinge on.
-    const MixedQuorumEvaluation analytic = EvaluateMixedQuorumAnalytic(
-        probe, sla_, scenario_, options_.read_fanout);
-    const MixedQuorumEvaluation mc = EvaluateMixedQuorum(
-        probe, sla_, model_, options_.validation.trials,
-        options_.validation_seed, options_.read_fanout, options_.exec);
-    const auto& tol = options_.validation;
-    std::ostringstream why;
-    if (std::abs(analytic.fresh_probability - mc.fresh_probability) >
-        tol.consistency_tol) {
-      why << "fresh probability " << analytic.fresh_probability << " vs mc "
-          << mc.fresh_probability;
-    } else if (std::abs(analytic.read_p99_ms - mc.read_p99_ms) >
-               tol.latency_rel_tol * mc.read_p99_ms + tol.latency_abs_tol_ms) {
-      why << "read p99 " << analytic.read_p99_ms << " vs mc " << mc.read_p99_ms
-          << " ms";
-    }
-    if (why.tellp() != 0) {
-      note_ = "auto: analytic failed the MC spot-check (" + why.str() +
-              "); using Monte Carlo";
-      resolved_ = PredictorBackend::kMonteCarlo;
-      scenario_.reset();
-      return;
-    }
-  }
-  resolved_ = PredictorBackend::kAnalytic;
 }
-
-MixedQuorumPredictor::~MixedQuorumPredictor() = default;
 
 MixedQuorumEvaluation MixedQuorumPredictor::Evaluate(const MixedQuorum& quorum,
                                                      uint64_t seed) const {
-  if (resolved_ == PredictorBackend::kAnalytic) {
-    return EvaluateMixedQuorumAnalytic(quorum, sla_, scenario_,
+  if (resolved_.kind == PredictorBackend::kAnalytic) {
+    return EvaluateMixedQuorumAnalytic(quorum, sla_, resolved_.scenario,
                                        options_.read_fanout);
   }
   return EvaluateMixedQuorum(quorum, sla_, model_, options_.trials, seed,
@@ -308,128 +198,77 @@ AdaptiveConfigController::AdaptiveConfigController(
     QuorumConfig initial, const AdaptiveControllerOptions& options)
     : current_(initial), options_(options) {
   assert(initial.IsValid());
+  assert(options.sla.enabled() && options.sla.Validate().ok());
   assert(options.trials_per_eval > 0);
   assert(options.switch_improvement_factor > 0.0 &&
          options.switch_improvement_factor <= 1.0);
 }
 
-AdaptiveConfigController::Evaluation AdaptiveConfigController::Evaluate(
-    const QuorumConfig& config, const ReplicaLatencyModelPtr& model,
-    uint64_t seed, const AnalyticScenarioPtr& scenario) const {
-  Evaluation eval;
-  if (scenario != nullptr) {
-    const AnalyticWars wars(config, scenario);
-    eval.t_visibility_ms =
-        wars.ApproxTimeForConsistency(options_.consistency_probability);
-    const double p = options_.latency_percentile / 100.0;
-    eval.objective_ms =
-        options_.read_weight * wars.ReadLatencyQuantile(p) +
-        options_.write_weight * wars.WriteLatencyQuantile(p);
-    eval.feasible = eval.t_visibility_ms <= options_.max_t_visibility_ms;
-    return eval;
-  }
-  WarsTrialSet set =
-      RunWarsTrials(config, model, options_.trials_per_eval, seed,
-                    /*want_propagation=*/false, ReadFanout::kAllN,
-                    options_.exec);
-  const TVisibilityCurve curve(std::move(set.staleness_thresholds));
-  const LatencyProfile reads(std::move(set.read_latencies));
-  const LatencyProfile writes(std::move(set.write_latencies));
-  eval.t_visibility_ms =
-      curve.TimeForConsistency(options_.consistency_probability);
-  eval.objective_ms =
-      options_.read_weight * reads.Percentile(options_.latency_percentile) +
-      options_.write_weight * writes.Percentile(options_.latency_percentile);
-  eval.feasible = eval.t_visibility_ms <= options_.max_t_visibility_ms;
-  return eval;
-}
-
 QuorumConfig AdaptiveConfigController::Update(
     const ReplicaLatencyModelPtr& model) {
-  assert(model != nullptr);
-  assert(model->num_replicas() == current_.n);
   ++epoch_;
 
-  // Resolve the evaluation engine for this epoch (the model may change
-  // between epochs, so kAuto re-checks every time). A null scenario means
-  // Monte Carlo; the default-kMonteCarlo path below is byte-for-byte the
-  // historical one, so decision streams and their digests are unchanged.
+  // One backend resolution per epoch (the model may change between
+  // epochs): kAnalytic/kAuto build one scenario grid shared by the whole
+  // lattice, and kAuto spot-checks it on the incumbent.
   const uint64_t base_seed = options_.seed + epoch_ * 1000003ULL;
-  AnalyticScenarioPtr scenario;
-  if (options_.backend != PredictorBackend::kMonteCarlo) {
-    const WarsDistributions* legs = model->IidLegs();
-    assert((legs != nullptr ||
-            options_.backend != PredictorBackend::kAnalytic) &&
-           "backend=analytic requires an IID latency model");
-    if (legs != nullptr) {
-      auto made = MakeAnalyticScenario(*legs, options_.grid);
-      assert(made.ok() && "invalid AdaptiveControllerOptions::grid");
-      if (made.ok()) scenario = std::move(made.value());
-    }
-    if (scenario != nullptr &&
-        options_.backend == PredictorBackend::kAuto) {
-      // Spot-check on the incumbent: its Monte Carlo evaluation is needed
-      // anyway when the check fails, and under agreement the analytic
-      // engine re-evaluates it below for a consistent candidate ranking.
-      const Evaluation mc = Evaluate(current_, model, base_seed, nullptr);
-      const Evaluation an = Evaluate(current_, model, base_seed, scenario);
-      const auto& tol = options_.validation;
-      const auto close = [&tol](double a, double m) {
-        return std::abs(a - m) <= tol.latency_rel_tol * std::abs(m) +
-                                      tol.latency_abs_tol_ms;
-      };
-      if (!close(an.objective_ms, mc.objective_ms) ||
-          !close(an.t_visibility_ms, mc.t_visibility_ms)) {
-        scenario.reset();
-      }
-    }
-  }
-  last_backend_ = scenario != nullptr ? PredictorBackend::kAnalytic
-                                      : PredictorBackend::kMonteCarlo;
+  PredictorOptions predictor;
+  predictor.trials = options_.trials_per_eval;
+  predictor.seed = base_seed;
+  predictor.collect_propagation = false;
+  predictor.exec = options_.exec;
+  predictor.backend = options_.backend;
+  predictor.grid = options_.grid;
+  predictor.validation = options_.validation;
+  auto resolved = ResolvePredictorBackend(current_, model, predictor);
+  assert(resolved.ok() && "invalid model or AdaptiveControllerOptions");
+  const ResolvedBackend backend =
+      resolved.ok() ? std::move(resolved.value()) : ResolvedBackend{};
+  last_backend_ = backend.kind;
 
-  // Evaluate the incumbent and every challenger under the current model.
-  Evaluation incumbent = Evaluate(current_, model, base_seed, scenario);
+  const auto score = [&](const QuorumConfig& config, uint64_t seed) {
+    predictor.seed = seed;
+    auto scored = ScoreCandidate(config, model, predictor, backend,
+                                 options_.sla, options_.objective);
+    assert(scored.ok());
+    return scored.value();
+  };
 
-  QuorumConfig best = current_;
-  Evaluation best_eval = incumbent;
+  // Score the incumbent and every challenger under the current model.
+  const SlaCandidate incumbent = score(current_, base_seed);
+  SlaCandidate best = incumbent;
   uint64_t salt = 1;
   for (int r = 1; r <= current_.n; ++r) {
     for (int w = 1; w <= current_.n; ++w) {
       const QuorumConfig candidate{current_.n, r, w};
       if (candidate == current_) continue;
-      const Evaluation eval =
-          Evaluate(candidate, model, base_seed + salt++, scenario);
-      const bool better =
-          (eval.feasible && !best_eval.feasible) ||
-          (eval.feasible == best_eval.feasible &&
-           eval.objective_ms < best_eval.objective_ms);
-      if (better) {
-        best = candidate;
-        best_eval = eval;
-      }
+      const SlaCandidate scored = score(candidate, base_seed + salt++);
+      const bool better = (scored.feasible && !best.feasible) ||
+                          (scored.feasible == best.feasible &&
+                           scored.objective < best.objective);
+      if (better) best = scored;
     }
   }
 
   // Hysteresis: keep a feasible incumbent unless the challenger is a clear
   // win; always leave an infeasible incumbent for the best feasible option.
   bool switch_now = false;
-  if (!incumbent.feasible && best_eval.feasible) {
+  if (!incumbent.feasible && best.feasible) {
     switch_now = true;
-  } else if (best_eval.feasible == incumbent.feasible &&
-             best_eval.objective_ms <
-                 options_.switch_improvement_factor *
-                     incumbent.objective_ms) {
+  } else if (best.feasible == incumbent.feasible &&
+             best.objective <
+                 options_.switch_improvement_factor * incumbent.objective) {
     switch_now = true;
   }
 
+  const SlaCandidate& chosen = switch_now ? best : incumbent;
   Decision decision;
-  decision.switched = switch_now && !(best == current_);
-  if (switch_now) current_ = best;
+  decision.switched = !(chosen.config == current_);
+  current_ = chosen.config;
   decision.chosen = current_;
-  const Evaluation& chosen_eval = switch_now ? best_eval : incumbent;
-  decision.objective_ms = chosen_eval.objective_ms;
-  decision.t_visibility_ms = chosen_eval.t_visibility_ms;
-  decision.feasible = chosen_eval.feasible;
+  decision.objective_ms = chosen.objective;
+  decision.t_visibility_ms = chosen.t_visibility_ms;
+  decision.feasible = chosen.feasible;
   history_.push_back(decision);
   return current_;
 }

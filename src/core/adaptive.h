@@ -2,42 +2,19 @@
 #define PBS_CORE_ADAPTIVE_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/backend.h"
+#include "core/predictor.h"
 #include "core/quorum_config.h"
+#include "core/sla.h"
 #include "core/wars.h"
 #include "util/status.h"
 
 namespace pbs {
-
-class AnalyticScenario;  // core/analytic.h
-using AnalyticScenarioPtr = std::shared_ptr<const AnalyticScenario>;
-
-/// A declared consistency/latency SLA in the PCAP style (Rahman et al.,
-/// arXiv:1509.02464): "at least `fresh_probability` of reads return data no
-/// staler than `staleness_bound_ms`, at read p99 latency <=
-/// `read_p99_ms`". The staleness clause is the paper's (t, p)-visibility
-/// target; the latency clause is what keeps the controller from buying
-/// freshness with unbounded quorum widening.
-struct SlaTarget {
-  double fresh_probability = 0.0;  // 0 == SLA disabled
-  double staleness_bound_ms = 0.0;
-  double read_p99_ms = 0.0;
-
-  bool enabled() const { return fresh_probability > 0.0; }
-  Status Validate() const;
-
-  /// Parses the CLI/SLA wire form "p=0.999,t=10,p99<=15" (three
-  /// comma-separated clauses, any order, no whitespace): p = fresh
-  /// probability in (0, 1), t = staleness bound in ms (>= 0), p99<= = read
-  /// p99 budget in ms (> 0).
-  static StatusOr<SlaTarget> Parse(const std::string& text);
-
-  friend bool operator==(const SlaTarget&, const SlaTarget&) = default;
-};
 
 /// McKenzie-style continuous partial quorum (arXiv:1507.03162): each read
 /// independently uses R = `r_lo` with probability `mix`, else R = `r_hi`.
@@ -106,11 +83,11 @@ MixedQuorumEvaluation EvaluateMixedQuorumAnalytic(
 /// and a latency model, answering Evaluate(quorum, seed) through whichever
 /// engine its options select — the Monte Carlo arms (exactly
 /// EvaluateMixedQuorum), or the analytic scenario (EvaluateMixedQuorumAnalytic,
-/// ignoring `seed`). kAuto resolves at construction: non-IID models fall
-/// back to Monte Carlo outright; IID models keep the analytic engine only
-/// when its evaluation of the `probe` quorum agrees with a small Monte
-/// Carlo run within the validation tolerances. The consistency controller
-/// builds one of these per control epoch.
+/// ignoring `seed`). The backend resolves once, at construction, through
+/// ResolvePredictorBackend with the probe's r_hi arm as the probe quorum
+/// (kAuto's spot-check runs `validation.trials` trials at
+/// `validation_seed`). The consistency controller builds one of these per
+/// control epoch.
 class MixedQuorumPredictor {
  public:
   struct Options {
@@ -129,44 +106,36 @@ class MixedQuorumPredictor {
   };
 
   /// Infallible by design (the controller cannot surface a Status mid-epoch):
-  /// analytic construction problems — non-IID model under kAnalytic, a bad
-  /// grid — fall back to Monte Carlo and record why in note(). Debug builds
-  /// assert on kAnalytic misuse.
+  /// a resolution error — non-IID model under kAnalytic, a bad grid — falls
+  /// back to Monte Carlo and records why in note(). Debug builds assert on
+  /// kAnalytic misuse.
   MixedQuorumPredictor(const SlaTarget& sla, ReplicaLatencyModelPtr model,
                        const MixedQuorum& probe, const Options& options);
-  ~MixedQuorumPredictor();
 
   MixedQuorumEvaluation Evaluate(const MixedQuorum& quorum,
                                  uint64_t seed) const;
 
   /// The engine actually answering (kAuto resolved; never kAuto itself).
-  PredictorBackend backend() const { return resolved_; }
+  PredictorBackend backend() const { return resolved_.kind; }
   /// Why kAuto / kAnalytic resolved to Monte Carlo (empty when analytic
   /// stuck, or when Monte Carlo was asked for directly).
-  const std::string& note() const { return note_; }
+  const std::string& note() const { return resolved_.note; }
 
  private:
   SlaTarget sla_;
   ReplicaLatencyModelPtr model_;
   Options options_;
-  PredictorBackend resolved_ = PredictorBackend::kMonteCarlo;
-  AnalyticScenarioPtr scenario_;
-  std::string note_;
+  ResolvedBackend resolved_;
 };
 
 /// Section 6 "Variable configurations": periodically re-pick R and W (N is
 /// fixed by durability/placement) as the environment's latency
 /// distributions drift, keeping a staleness SLA while minimizing latency.
 struct AdaptiveControllerOptions {
-  /// The SLA: reads consistent within `max_t_visibility_ms` of commit with
-  /// probability `consistency_probability`.
-  double consistency_probability = 0.999;
-  double max_t_visibility_ms = 10.0;
-
-  /// Objective: weighted read/write latency at this percentile.
-  double latency_percentile = 99.9;
-  double read_weight = 0.5;
-  double write_weight = 0.5;
+  /// Reads consistent within 10 ms of commit with probability 0.999; no
+  /// read-latency budget.
+  SlaTarget sla{0.999, 10.0, std::numeric_limits<double>::infinity()};
+  SlaObjective objective;
 
   /// Hysteresis: only switch away from the current (still feasible)
   /// configuration when the challenger's objective is below
@@ -183,24 +152,26 @@ struct AdaptiveControllerOptions {
   /// not depend on the thread count.
   PbsExecutionOptions exec;
 
-  /// Which engine evaluates candidates (DESIGN.md §12). kMonteCarlo keeps
-  /// the historical per-epoch trial runs; kAnalytic evaluates the whole
-  /// (R, W) lattice off one scenario grid (O(bins log bins) to build, then
-  /// O(bins * n) per candidate — orders of magnitude cheaper per epoch);
-  /// kAuto spot-checks the analytic engine against the incumbent's Monte
-  /// Carlo evaluation each Update and falls back when they disagree.
+  /// Which engine scores candidates (DESIGN.md §12), resolved once per
+  /// Update through ResolvePredictorBackend with the incumbent as probe.
+  /// kMonteCarlo runs trials_per_eval trials per candidate; kAnalytic
+  /// scores the whole (R, W) lattice off one scenario grid (O(bins log
+  /// bins) to build, then O(bins * n) per candidate — orders of magnitude
+  /// cheaper per epoch); kAuto keeps the grid only when it passes the
+  /// shared spot-check (`validation`) that epoch.
   PredictorBackend backend = PredictorBackend::kMonteCarlo;
   /// Analytic grid shape. Coarser than the predictor default: the
   /// controller compares candidates, so grid bias common to all of them
   /// cancels, and epochs should stay cheap.
   AnalyticGridOptions grid{2000.0, 8000};
-  /// kAuto's per-Update agreement tolerances (trials is unused here — the
-  /// spot-check reuses the incumbent's trials_per_eval evaluation).
+  /// kAuto's per-Update spot-check budget and tolerances.
   AutoValidationOptions validation;
 };
 
-/// Online controller. Feed it the latest latency model (measured online or
-/// assumed) each control epoch; it returns the configuration to run with.
+/// Online controller: the (R, W) lattice at fixed N scored through the
+/// predictor's engines (ScoreCandidate), plus hysteresis. Feed it the
+/// latest latency model (measured online or assumed) each control epoch; it
+/// returns the configuration to run with.
 class AdaptiveConfigController {
  public:
   /// One evaluated control decision (also kept in history()).
@@ -215,14 +186,11 @@ class AdaptiveConfigController {
   AdaptiveConfigController(QuorumConfig initial,
                            const AdaptiveControllerOptions& options);
 
-  /// Re-evaluates all (R, W) pairs for the fixed N under `model` and
-  /// returns the recommended configuration. The current configuration is
-  /// retained unless it became infeasible or a challenger beats it by the
-  /// hysteresis margin. The options' backend picks the evaluator per call
-  /// (the model may change between epochs): under kAnalytic every candidate
-  /// shares one scenario grid; under kAuto the analytic engine must first
-  /// agree with the incumbent's Monte Carlo evaluation within the
-  /// validation tolerances, else this epoch runs on Monte Carlo.
+  /// Re-scores all (R, W) pairs for the fixed N under `model` and returns
+  /// the recommended configuration. The current configuration is retained
+  /// unless it became infeasible or a challenger beats it by the
+  /// hysteresis margin. The incumbent draws the epoch's base seed and the
+  /// challengers base seed + 1, + 2, ... in (r, w) order.
   QuorumConfig Update(const ReplicaLatencyModelPtr& model);
 
   const QuorumConfig& current() const { return current_; }
@@ -231,16 +199,6 @@ class AdaptiveConfigController {
   PredictorBackend last_backend() const { return last_backend_; }
 
  private:
-  struct Evaluation {
-    double objective_ms = 0.0;
-    double t_visibility_ms = 0.0;
-    bool feasible = false;
-  };
-  /// Monte Carlo when `scenario` is null, analytic (seed unused) otherwise.
-  Evaluation Evaluate(const QuorumConfig& config,
-                      const ReplicaLatencyModelPtr& model, uint64_t seed,
-                      const AnalyticScenarioPtr& scenario) const;
-
   QuorumConfig current_;
   AdaptiveControllerOptions options_;
   uint64_t epoch_ = 0;

@@ -25,18 +25,15 @@ double LatencyProfile::CdfAt(double x) const {
   return EcdfSorted(sorted_, x);
 }
 
-OperationLatencies MakeOperationLatencies(WarsTrialSet set) {
-  return OperationLatencies{LatencyProfile(std::move(set.read_latencies)),
-                            LatencyProfile(std::move(set.write_latencies))};
-}
-
 OperationLatencies EstimateLatencies(const QuorumConfig& config,
                                      const ReplicaLatencyModelPtr& model,
                                      int trials, uint64_t seed,
                                      const PbsExecutionOptions& exec) {
-  return MakeOperationLatencies(RunWarsTrials(config, model, trials, seed,
-                                              /*want_propagation=*/false,
-                                              ReadFanout::kAllN, exec));
+  WarsTrialSet set = RunWarsTrials(config, model, trials, seed,
+                                   /*want_propagation=*/false,
+                                   ReadFanout::kAllN, exec);
+  return OperationLatencies{LatencyProfile(std::move(set.read_latencies)),
+                            LatencyProfile(std::move(set.write_latencies))};
 }
 
 }  // namespace pbs

@@ -37,8 +37,6 @@ struct OperationLatencies {
   LatencyProfile writes;
 };
 
-OperationLatencies MakeOperationLatencies(WarsTrialSet set);
-
 /// Convenience: run `trials` WARS trials and return the latency profiles.
 /// Parallel over `exec.threads` workers with thread-count-independent
 /// results (see RunWarsTrials).

@@ -23,14 +23,14 @@ class MonteCarloEngine final : public PredictionEngine {
     trials_ = RunWarsTrials(config, model, options.trials, options.seed,
                             options.collect_propagation, ReadFanout::kAllN,
                             options.exec);
-    // The curve/profile constructors sort their inputs; copy the columns the
-    // trial set still needs (thresholds are only used by the curve).
+    // The curve/profile constructors sort their inputs; hand them the
+    // columns outright — the trial set keeps only the propagation columns
+    // EmpiricalPwAt reads.
     t_visibility_ = std::make_unique<TVisibilityCurve>(
         std::move(trials_.staleness_thresholds));
-    trials_.staleness_thresholds.clear();
     latencies_ = std::make_unique<OperationLatencies>(OperationLatencies{
-        LatencyProfile(trials_.read_latencies),
-        LatencyProfile(trials_.write_latencies)});
+        LatencyProfile(std::move(trials_.read_latencies)),
+        LatencyProfile(std::move(trials_.write_latencies))});
   }
 
   PredictorBackend kind() const override {
@@ -178,60 +178,54 @@ std::string SpotCheckAnalytic(const QuorumConfig& config,
 
 }  // namespace
 
-StatusOr<std::unique_ptr<PredictionEngine>> MakePredictionEngine(
-    const QuorumConfig& config, const ReplicaLatencyModelPtr& model,
-    const PredictorOptions& options, std::string* note) {
-  if (note != nullptr) note->clear();
-  const Status status = ValidateEngineInputs(config, model, options);
+StatusOr<ResolvedBackend> ResolvePredictorBackend(
+    const QuorumConfig& probe, const ReplicaLatencyModelPtr& model,
+    const PredictorOptions& options) {
+  const Status status = ValidateEngineInputs(probe, model, options);
   if (!status.ok()) return status;
+  ResolvedBackend resolved;
+  if (options.backend == PredictorBackend::kMonteCarlo) return resolved;
 
-  switch (options.backend) {
-    case PredictorBackend::kMonteCarlo:
-      return std::unique_ptr<PredictionEngine>(
-          new MonteCarloEngine(config, model, options));
-
-    case PredictorBackend::kAnalytic: {
-      const WarsDistributions* legs = model->IidLegs();
-      if (legs == nullptr) {
-        return Status::InvalidArgument(
-            "backend=analytic requires an IID latency model (" +
-            model->Describe() +
-            " is not); use backend=auto to fall back to Monte Carlo");
-      }
-      auto scenario = MakeAnalyticScenario(*legs, options.grid);
-      if (!scenario.ok()) return scenario.status();
-      return std::unique_ptr<PredictionEngine>(
-          new AnalyticEngine(config, std::move(scenario.value())));
+  const WarsDistributions* legs = model->IidLegs();
+  if (legs == nullptr) {
+    if (options.backend == PredictorBackend::kAnalytic) {
+      return Status::InvalidArgument(
+          "backend=analytic requires an IID latency model (" +
+          model->Describe() +
+          " is not); use backend=auto to fall back to Monte Carlo");
     }
-
-    case PredictorBackend::kAuto: {
-      const WarsDistributions* legs = model->IidLegs();
-      if (legs == nullptr) {
-        if (note != nullptr) {
-          *note = "auto: " + model->Describe() +
-                  " is not IID across replicas; using Monte Carlo";
-        }
-        return std::unique_ptr<PredictionEngine>(
-            new MonteCarloEngine(config, model, options));
-      }
-      auto scenario = MakeAnalyticScenario(*legs, options.grid);
-      if (!scenario.ok()) return scenario.status();
-      auto analytic = std::make_unique<AnalyticEngine>(
-          config, std::move(scenario.value()));
-      const std::string mismatch =
-          SpotCheckAnalytic(config, model, options, *analytic);
-      if (mismatch.empty()) {
-        return std::unique_ptr<PredictionEngine>(std::move(analytic));
-      }
-      if (note != nullptr) {
-        *note = "auto: analytic failed the MC spot-check (" + mismatch +
-                "); using Monte Carlo";
-      }
-      return std::unique_ptr<PredictionEngine>(
-          new MonteCarloEngine(config, model, options));
+    resolved.note = "auto: " + model->Describe() +
+                    " is not IID across replicas; using Monte Carlo";
+    return resolved;
+  }
+  auto scenario = MakeAnalyticScenario(*legs, options.grid);
+  if (!scenario.ok()) return scenario.status();
+  if (options.backend == PredictorBackend::kAuto) {
+    const std::string mismatch = SpotCheckAnalytic(
+        probe, model, options, AnalyticEngine(probe, scenario.value()));
+    if (!mismatch.empty()) {
+      resolved.note = "auto: analytic failed the MC spot-check (" + mismatch +
+                      "); using Monte Carlo";
+      return resolved;
     }
   }
-  return Status::InvalidArgument("unknown predictor backend");
+  resolved.kind = PredictorBackend::kAnalytic;
+  resolved.scenario = std::move(scenario.value());
+  return resolved;
+}
+
+StatusOr<std::unique_ptr<PredictionEngine>> MakePredictionEngine(
+    const QuorumConfig& config, const ReplicaLatencyModelPtr& model,
+    const PredictorOptions& options, const ResolvedBackend& resolved) {
+  const Status status = ValidateEngineInputs(config, model, options);
+  if (!status.ok()) return status;
+  if (resolved.kind != PredictorBackend::kAnalytic) {
+    return std::unique_ptr<PredictionEngine>(
+        new MonteCarloEngine(config, model, options));
+  }
+  assert(resolved.scenario != nullptr);
+  return std::unique_ptr<PredictionEngine>(
+      new AnalyticEngine(config, resolved.scenario));
 }
 
 StatusOr<PbsPredictor> PbsPredictor::Create(const QuorumConfig& config,
@@ -240,8 +234,11 @@ StatusOr<PbsPredictor> PbsPredictor::Create(const QuorumConfig& config,
   PbsPredictor predictor;
   predictor.config_ = config;
   predictor.model_ = std::move(model);
+  auto resolved = ResolvePredictorBackend(config, predictor.model_, options);
+  if (!resolved.ok()) return resolved.status();
+  predictor.backend_note_ = resolved.value().note;
   auto engine = MakePredictionEngine(config, predictor.model_, options,
-                                     &predictor.backend_note_);
+                                     resolved.value());
   if (!engine.ok()) return engine.status();
   predictor.engine_ = std::move(engine.value());
   return StatusOr<PbsPredictor>(std::move(predictor));

@@ -66,16 +66,37 @@ class PredictionEngine {
   virtual std::vector<double> WritePropagationCdfAt(double t) const = 0;
 };
 
-/// Builds the engine selected by `options.backend` after validating the
-/// inputs (quorum shape, model, trial budget, grid). kAnalytic demands an
-/// IID model (ReplicaLatencyModel::IidLegs) and fails otherwise; kAuto
-/// falls back to Monte Carlo for non-IID models, and for IID models keeps
-/// the analytic engine only when it passes the options.validation
-/// spot-check against a small MC run. When `note` is non-null it receives
-/// a human-readable reason whenever kAuto resolves away from analytic.
+class AnalyticScenario;  // core/analytic.h
+using AnalyticScenarioPtr = std::shared_ptr<const AnalyticScenario>;
+
+/// `options.backend` resolved for one latency model: the engine kind that
+/// answers (never kAuto) and, for the analytic engine, the scenario grid
+/// every engine over that model can share.
+struct ResolvedBackend {
+  PredictorBackend kind = PredictorBackend::kMonteCarlo;
+  AnalyticScenarioPtr scenario;  // non-null iff kind == kAnalytic
+  std::string note;              // why kAuto resolved to Monte Carlo
+};
+
+/// The one place a backend is resolved, after validating the inputs
+/// (quorum shape, model, trial budget, grid). kMonteCarlo passes through.
+/// kAnalytic demands an IID model (ReplicaLatencyModel::IidLegs) and builds
+/// its scenario. kAuto falls back to Monte Carlo for non-IID models, and
+/// for IID models keeps the analytic scenario only when an analytic engine
+/// for `probe` agrees with a small Monte Carlo run (options.validation
+/// trials at options.seed) on read/write p50/p99 and P(consistent) at
+/// t = 0 and 10 ms. Searches resolve once per model and share the result
+/// across their candidates.
+StatusOr<ResolvedBackend> ResolvePredictorBackend(
+    const QuorumConfig& probe, const ReplicaLatencyModelPtr& model,
+    const PredictorOptions& options);
+
+/// Builds the engine for `config` on an already-resolved backend: Monte
+/// Carlo runs options.trials trials at options.seed; analytic wraps
+/// `resolved.scenario` (no grid build, no spot-check).
 StatusOr<std::unique_ptr<PredictionEngine>> MakePredictionEngine(
     const QuorumConfig& config, const ReplicaLatencyModelPtr& model,
-    const PredictorOptions& options, std::string* note = nullptr);
+    const PredictorOptions& options, const ResolvedBackend& resolved);
 
 /// The library's front door: one object answering every PBS question about a
 /// (quorum configuration, latency model) pair.

@@ -150,9 +150,7 @@ MixedQuorumPredictor ConsistencyController::MakeEpochPredictor(
   // campaign-parallel) trial, and a serial WARS run is trivially
   // deterministic regardless of the outer thread count.
   options.exec.threads = 1;
-  options.grid = AnalyticGridOptions{config.controller.grid_max_ms,
-                                     config.controller.grid_bins,
-                                     config.controller.grid_auto_max};
+  options.grid = config.controller.grid;
   return MixedQuorumPredictor(sla_, model, current, options);
 }
 

@@ -134,12 +134,12 @@ struct ControllerOptions {
 
   /// WARS Monte Carlo budget per candidate per epoch (controller
   /// evaluations run serially inside the cluster for determinism, so this
-  /// is deliberately far below AdaptiveControllerOptions::trials_per_eval).
+  /// is deliberately far below the offline AdaptiveConfigController's
+  /// default budget of 20000).
   int trials_per_eval = 1200;
 
-  /// Hysteresis, as in AdaptiveControllerOptions: a challenger must beat
-  /// the incumbent's predicted read p99 by this factor when both meet the
-  /// SLA.
+  /// Hysteresis: a challenger must beat the incumbent's predicted read p99
+  /// by this factor when both meet the SLA.
   double switch_improvement_factor = 0.9;
 
   /// Mix-probability step per epoch (McKenzie fractional quorums).
@@ -168,15 +168,12 @@ struct ControllerOptions {
   /// when the sensed distributions break the independence assumptions.
   PredictorBackend backend = PredictorBackend::kMonteCarlo;
 
-  /// Analytic grid shape (kAnalytic / kAuto): uniform bins over
-  /// [0, grid_max_ms). Coarse by design — the controller compares
-  /// candidates, so grid bias common to all of them cancels. With
-  /// grid_auto_max (the default) grid_max_ms is only a cap: the grid
-  /// shrinks to the sensed legs' tail scale (AnalyticGridOptions::auto_max)
-  /// so fast fleets get proportionally finer resolution.
-  double grid_max_ms = 2000.0;
-  int grid_bins = 8000;
-  bool grid_auto_max = true;
+  /// Analytic grid shape (kAnalytic / kAuto). Coarse by design — the
+  /// controller compares candidates, so grid bias common to all of them
+  /// cancels. With auto_max (the default) max_ms is only a cap: the grid
+  /// shrinks to the sensed legs' tail scale so fast fleets get
+  /// proportionally finer resolution.
+  AnalyticGridOptions grid{2000.0, 8000};
 
   Status Validate() const {
     if (epoch_ms <= 0.0) {
@@ -219,10 +216,9 @@ struct ControllerOptions {
       return Status::InvalidArgument(
           "controller.cooldown_epochs must be >= 0");
     }
-    const Status grid =
-        AnalyticGridOptions{grid_max_ms, grid_bins, grid_auto_max}.Validate();
-    if (!grid.ok()) {
-      return Status::InvalidArgument("controller." + grid.message());
+    const Status grid_status = grid.Validate();
+    if (!grid_status.ok()) {
+      return Status::InvalidArgument("controller." + grid_status.message());
     }
     return Status::Ok();
   }

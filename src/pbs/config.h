@@ -231,9 +231,7 @@ struct Config {
   /// backends (disables the default tail-aware auto-scaling of the bound;
   /// see AnalyticGridOptions::auto_max).
   Config& WithPredictorGrid(double max_ms, int bins) {
-    controller.grid_max_ms = max_ms;
-    controller.grid_bins = bins;
-    controller.grid_auto_max = false;
+    controller.grid = AnalyticGridOptions{max_ms, bins, /*auto_max=*/false};
     return *this;
   }
   /// Shorthand: declare the SLA and switch the closed loop on in one call.

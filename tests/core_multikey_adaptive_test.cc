@@ -78,8 +78,8 @@ TEST(MultiKeyTVisibilityTest, StrictQuorumImmediatelyConsistent) {
 
 AdaptiveControllerOptions TestOptions() {
   AdaptiveControllerOptions options;
-  options.consistency_probability = 0.999;
-  options.max_t_visibility_ms = 5.0;
+  options.sla.fresh_probability = 0.999;
+  options.sla.staleness_bound_ms = 5.0;
   options.trials_per_eval = 15000;
   options.seed = 99;
   return options;
@@ -147,8 +147,8 @@ TEST(AdaptiveControllerTest, InfeasibleEverywhereStillReportsHonestly) {
   // A 0 ms SLA at 99.99% under heavy-tailed YMMR: only strict quorums
   // qualify; the controller must land on one.
   AdaptiveControllerOptions options = TestOptions();
-  options.max_t_visibility_ms = 0.0;
-  options.consistency_probability = 0.9999;
+  options.sla.staleness_bound_ms = 0.0;
+  options.sla.fresh_probability = 0.9999;
   AdaptiveConfigController controller({3, 1, 1}, options);
   controller.Update(MakeIidModel(Ymmr(), 3));
   EXPECT_TRUE(controller.history().back().feasible);

@@ -1,3 +1,6 @@
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/sla.h"
@@ -17,7 +20,7 @@ TEST(SlaOptimizerTest, EnumeratesTheWholeBox) {
   SlaConstraints constraints;
   constraints.min_n = 2;
   constraints.max_n = 3;
-  const auto candidates = optimizer.EnumerateAll(constraints, {});
+  const auto candidates = optimizer.EnumerateAll(constraints, {}).value();
   // N=2 contributes 2*2 configs, N=3 contributes 3*3.
   EXPECT_EQ(candidates.size(), 4u + 9u);
 }
@@ -27,8 +30,8 @@ TEST(SlaOptimizerTest, FeasibleSortedByObjective) {
   SlaConstraints constraints;
   constraints.min_n = 3;
   constraints.max_n = 3;
-  constraints.max_t_visibility_ms = 1e9;  // everything feasible
-  const auto candidates = optimizer.EnumerateAll(constraints, {});
+  constraints.sla.staleness_bound_ms = 1e9;  // everything feasible
+  const auto candidates = optimizer.EnumerateAll(constraints, {}).value();
   for (size_t i = 1; i < candidates.size(); ++i) {
     EXPECT_TRUE(candidates[i - 1].feasible);
     EXPECT_LE(candidates[i - 1].objective, candidates[i].objective);
@@ -40,8 +43,8 @@ TEST(SlaOptimizerTest, TightStalenessBoundForcesStricterQuorums) {
   SlaConstraints constraints;
   constraints.min_n = 3;
   constraints.max_n = 3;
-  constraints.consistency_probability = 0.9999;
-  constraints.max_t_visibility_ms = 0.0;  // zero staleness window
+  constraints.sla.fresh_probability = 0.9999;
+  constraints.sla.staleness_bound_ms = 0.0;  // zero staleness window
   const auto best = optimizer.Optimize(constraints, {});
   ASSERT_TRUE(best.ok());
   // Only overlapping quorums give a zero window at that probability.
@@ -53,8 +56,8 @@ TEST(SlaOptimizerTest, RelaxedBoundPrefersR1W1) {
   SlaConstraints constraints;
   constraints.min_n = 3;
   constraints.max_n = 3;
-  constraints.consistency_probability = 0.999;
-  constraints.max_t_visibility_ms = 1e6;  // effectively unconstrained
+  constraints.sla.fresh_probability = 0.999;
+  constraints.sla.staleness_bound_ms = 1e6;  // effectively unconstrained
   const auto best = optimizer.Optimize(constraints, {});
   ASSERT_TRUE(best.ok());
   // Smallest quorums are fastest when staleness does not bind.
@@ -68,8 +71,8 @@ TEST(SlaOptimizerTest, DurabilityFloorRespected) {
   constraints.min_n = 3;
   constraints.max_n = 3;
   constraints.min_write_quorum = 2;
-  constraints.max_t_visibility_ms = 1e6;
-  const auto candidates = optimizer.EnumerateAll(constraints, {});
+  constraints.sla.staleness_bound_ms = 1e6;
+  const auto candidates = optimizer.EnumerateAll(constraints, {}).value();
   for (const auto& candidate : candidates) {
     EXPECT_GE(candidate.config.w, 2);
   }
@@ -92,8 +95,8 @@ TEST(SlaOptimizerTest, WriteWeightSteersTheChoice) {
   SlaConstraints constraints;
   constraints.min_n = 3;
   constraints.max_n = 3;
-  constraints.consistency_probability = 0.9999;
-  constraints.max_t_visibility_ms = 0.0;
+  constraints.sla.fresh_probability = 0.9999;
+  constraints.sla.staleness_bound_ms = 0.0;
   SlaObjective writes_only;
   writes_only.read_weight = 0.0;
   writes_only.write_weight = 1.0;
@@ -101,6 +104,36 @@ TEST(SlaOptimizerTest, WriteWeightSteersTheChoice) {
   ASSERT_TRUE(best.ok());
   EXPECT_EQ(best.value().config.w, 1);
   EXPECT_EQ(best.value().config.r, 3);  // R=3, W=1 is the write-cheap strict quorum
+}
+
+TEST(SlaOptimizerTest, RejectsOutOfRangeInputWithStatus) {
+  SlaOptimizer optimizer(DiskFactory(), /*trials=*/100, /*seed=*/8);
+  SlaConstraints box;
+  box.min_n = 2;
+  box.max_n = 3;
+  std::vector<SlaConstraints> bad(10, box);
+  bad[0].sla.fresh_probability = 1.5;  // `pbs sla --prob=1.5`
+  bad[1].sla.fresh_probability = 1.0;
+  bad[2].sla.fresh_probability = 0.0;  // a disabled SLA is no target
+  bad[3].sla.fresh_probability = -0.1;
+  bad[4].sla.fresh_probability = std::nan("");
+  bad[5].sla.staleness_bound_ms = -1.0;
+  bad[6].sla.read_p99_ms = 0.0;
+  bad[7].min_n = 0;
+  bad[8].max_n = 1;  // below min_n
+  bad[9].min_write_quorum = 0;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    const auto all = optimizer.EnumerateAll(bad[i], {});
+    ASSERT_FALSE(all.ok()) << i;
+    EXPECT_EQ(all.status().code(), StatusCode::kInvalidArgument) << i;
+    const auto best = optimizer.Optimize(bad[i], {});
+    ASSERT_FALSE(best.ok()) << i;
+    EXPECT_EQ(best.status().code(), StatusCode::kInvalidArgument) << i;
+  }
+  SlaOptimizer no_trials(DiskFactory(), /*trials=*/0, /*seed=*/8);
+  const auto best = no_trials.Optimize(box, {});
+  ASSERT_FALSE(best.ok());
+  EXPECT_EQ(best.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

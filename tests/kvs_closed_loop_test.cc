@@ -105,8 +105,8 @@ TEST(ClosedLoopTest, ProfileRecommendApplyAcrossRegimeShift) {
   ClientSession reader(&cluster, cluster.coordinator(1).id(), 2);
 
   AdaptiveControllerOptions controller_options;
-  controller_options.consistency_probability = 0.999;
-  controller_options.max_t_visibility_ms = 10.0;
+  controller_options.sla.fresh_probability = 0.999;
+  controller_options.sla.staleness_bound_ms = 10.0;
   controller_options.trials_per_eval = 20000;
   AdaptiveConfigController controller(config.quorum, controller_options);
 

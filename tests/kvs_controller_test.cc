@@ -373,9 +373,7 @@ TEST(ControllerBackendTest, ExplicitMonteCarloMatchesTheDefault) {
       RunStalenessExperiment(ControllerExperiment());
   StalenessExperimentOptions options = ControllerExperiment();
   options.cluster.controller.backend = PredictorBackend::kMonteCarlo;
-  options.cluster.controller.grid_bins = 2000;
-  options.cluster.controller.grid_max_ms = 700.0;
-  options.cluster.controller.grid_auto_max = false;
+  options.cluster.controller.grid = AnalyticGridOptions{700.0, 2000, false};
   const StalenessExperimentResult explicit_mc = RunStalenessExperiment(options);
   ASSERT_EQ(explicit_mc.controller_decisions.size(),
             baseline.controller_decisions.size());

@@ -156,6 +156,17 @@ StatusOr<kvs::ConsistencyLevel> ParseLevel(const std::string& text) {
   return Status::InvalidArgument("unknown consistency level: " + text);
 }
 
+/// Parses --grid-bins / --grid-max-ms into `grid`. An explicit bound is
+/// used literally (no tail-aware auto-scaling).
+void ParseGridFlags(const Args& args, AnalyticGridOptions* grid) {
+  grid->bins = args.GetInt("grid-bins", grid->bins);
+  const double max_ms = args.GetDouble("grid-max-ms", -1.0);
+  if (max_ms >= 0.0) {
+    grid->max_ms = max_ms;
+    grid->auto_max = false;
+  }
+}
+
 /// Parses the engine-selection flags shared by predict / levels /
 /// predict-trace into `options`. False (with a message) on a bad value.
 bool ParseBackendFlags(const Args& args, PredictorOptions* options) {
@@ -166,13 +177,7 @@ bool ParseBackendFlags(const Args& args, PredictorOptions* options) {
     return false;
   }
   options->backend = parsed.value();
-  options->grid.bins = args.GetInt("grid-bins", options->grid.bins);
-  const double max_ms = args.GetDouble("grid-max-ms", -1.0);
-  if (max_ms >= 0.0) {
-    // An explicit bound is used literally (no tail-aware auto-scaling).
-    options->grid.max_ms = max_ms;
-    options->grid.auto_max = false;
-  }
+  ParseGridFlags(args, &options->grid);
   return true;
 }
 
@@ -234,13 +239,17 @@ int CmdSla(const Args& args) {
   constraints.min_n = args.GetInt("min-n", 2);
   constraints.max_n = args.GetInt("max-n", 5);
   constraints.min_write_quorum = args.GetInt("min-w", 1);
-  constraints.consistency_probability = args.GetDouble("prob", 0.999);
-  constraints.max_t_visibility_ms = args.GetDouble("max-t", 10.0);
+  constraints.sla.fresh_probability = args.GetDouble("prob", 0.999);
+  constraints.sla.staleness_bound_ms = args.GetDouble("max-t", 10.0);
   SlaObjective objective;
   const double read_fraction = args.GetDouble("read-fraction", 0.5);
   objective.read_weight = read_fraction;
   objective.write_weight = 1.0 - read_fraction;
   const auto best = optimizer.Optimize(constraints, objective);
+  if (!best.ok() && best.status().code() == StatusCode::kInvalidArgument) {
+    std::cerr << best.status().message() << "\n";
+    return 1;
+  }
   if (!best.ok()) {
     std::cout << "no configuration satisfies the SLA: "
               << best.status().message() << "\n";
@@ -251,7 +260,7 @@ int CmdSla(const Args& args) {
       "best: %s — t@%.2f%%: %.2f ms, Lr %.2f ms, Lw %.2f ms "
       "(objective %.2f ms)\n",
       c.config.ToString().c_str(),
-      100.0 * constraints.consistency_probability, c.t_visibility_ms,
+      100.0 * constraints.sla.fresh_probability, c.t_visibility_ms,
       c.read_latency_ms, c.write_latency_ms, c.objective);
   return 0;
 }
@@ -379,14 +388,7 @@ int CmdSimulate(const Args& args) {
       return 1;
     }
     config.WithPredictorBackend(backend.value());
-    config.controller.grid_bins =
-        args.GetInt("grid-bins", config.controller.grid_bins);
-    const double grid_max = args.GetDouble("grid-max-ms", -1.0);
-    if (grid_max >= 0.0) {
-      // WithPredictorGrid pins the bound literally; the default keeps the
-      // tail-aware auto-scaled grid.
-      config.WithPredictorGrid(grid_max, config.controller.grid_bins);
-    }
+    ParseGridFlags(args, &config.controller.grid);
   }
 
   const std::string trace_out = PathFlag(args, "trace", "pbs_trace.json");
