@@ -49,7 +49,11 @@ DiscretizedDistribution DiscretizedDistribution::FromDistribution(
 DiscretizedDistribution DiscretizedDistribution::Convolve(
     const DiscretizedDistribution& a, const DiscretizedDistribution& b) {
   assert(std::abs(a.step_ - b.step_) < 1e-12);
-  const int bins = a.bins();
+  return FoldSum(a.step_, a.bins(), ConvolveReal(a.pmf_, b.pmf_));
+}
+
+DiscretizedDistribution DiscretizedDistribution::FoldSum(
+    double step, int bins, std::vector<double> full) {
   // Bin centers sum to (i+0.5)+(j+0.5) = (i+j+1)*step — exactly the *edge*
   // between bins i+j and i+j+1. Putting all the mass into i+j would bias
   // every convolution's mean low by step/2; splitting it evenly across the
@@ -58,7 +62,6 @@ DiscretizedDistribution DiscretizedDistribution::Convolve(
   // convolution c[k] = sum_{i+j=k} a_i b_j:
   //   pmf[k]      = (c[k] + c[k-1]) / 2          for k < bins - 1,
   //   pmf[bins-1] = everything else (the grid's usual tail lump).
-  std::vector<double> full = ConvolveReal(a.pmf_, b.pmf_);
   double total = 0.0;
   for (auto& m : full) {
     m = std::max(0.0, m);  // FFT rounding can dip microscopically negative
@@ -72,7 +75,7 @@ DiscretizedDistribution DiscretizedDistribution::Convolve(
     head += pmf[k];
   }
   pmf[bins - 1] = std::max(0.0, total - head);
-  return DiscretizedDistribution(a.step_, std::move(pmf));
+  return DiscretizedDistribution(step, std::move(pmf));
 }
 
 DiscretizedDistribution DiscretizedDistribution::OrderStatistic(
@@ -173,37 +176,61 @@ double ResolveGridMaxMs(const WarsDistributions& dists,
 
 AnalyticScenario::AnalyticScenario(const WarsDistributions& dists,
                                    double max_ms, int bins)
-    : step_(max_ms / bins), name_(dists.name),
-      write_leg_(DiscretizedDistribution::FromDistribution(*dists.w, max_ms,
-                                                           bins)),
-      write_ack_(DiscretizedDistribution::Convolve(
-          write_leg_,
-          DiscretizedDistribution::FromDistribution(*dists.a, max_ms, bins))),
-      read_response_(DiscretizedDistribution::Convolve(
-          DiscretizedDistribution::FromDistribution(*dists.r, max_ms, bins),
-          DiscretizedDistribution::FromDistribution(*dists.s, max_ms,
-                                                    bins))) {
+    : step_(max_ms / bins), name_(dists.name) {
+  // Each distinct leg object (by identity, as SamplerPlan dedups them) is
+  // discretized and transformed once: in every Table 3 fit A, R and S are
+  // one object (LNKD-SSD's W too), so the three products below need one or
+  // two leg spectra. One plan covers the 2 * bins - 1 outputs of a full
+  // linear convolution.
+  const std::size_t full = 2 * static_cast<std::size_t>(bins) - 1;
+  const RealFft fft(full);
+  struct Leg {
+    const Distribution* source;
+    DiscretizedDistribution grid;
+    RealFft::Spectrum spectrum;
+  };
+  std::vector<Leg> legs;
+  legs.reserve(4);  // references below stay valid: at most four legs
+  const auto leg = [&](const Distribution& dist) -> const Leg& {
+    for (const Leg& known : legs) {
+      if (known.source == &dist) return known;
+    }
+    auto grid = DiscretizedDistribution::FromDistribution(dist, max_ms, bins);
+    RealFft::Spectrum spectrum = fft.Forward(grid.pmf_);
+    legs.push_back({&dist, std::move(grid), std::move(spectrum)});
+    return legs.back();
+  };
+  const Leg& w = leg(*dists.w);
+  const Leg& a = leg(*dists.a);
+  const Leg& r = leg(*dists.r);
+  const Leg& s = leg(*dists.s);
+  const auto sum = [&](const Leg& x, const Leg& y) {
+    return DiscretizedDistribution::FoldSum(
+        step_, bins,
+        fft.InverseProduct(x.spectrum, y.spectrum, /*conjugate_a=*/false,
+                           full));
+  };
+  write_leg_ = w.grid;
+  write_ack_ = sum(w, a);
+  read_response_ = sum(r, s);
+
   // q(u) = P(w > u + r) = sum_j P(r in bin j) * (1 - Fw(u + r_j)), with u
   // and r_j at bin centers: the CDF argument (ui+0.5+j+0.5)*step lands
   // exactly on edge ui+j+1, so with Sw[m] = 1 - Fw at edge m+1 this is the
-  // correlation q[ui] = sum_j r[j] * Sw[ui + j] — computed here as one FFT
-  // convolution against the reversed read-leg pmf (identical values to the
-  // former O(bins^2) loop, up to FP rounding).
-  const auto read_leg =
-      DiscretizedDistribution::FromDistribution(*dists.r, max_ms, bins);
+  // correlation q[ui] = sum_j r[j] * Sw[ui + j] — the inverse of
+  // conj(R) .* FFT(Sw), which reuses the read leg's spectrum (identical
+  // values to the former O(bins^2) loop, up to FP rounding). Sw is zero
+  // beyond the grid, so q vanishes for u >= max_ms (the upper half of the
+  // table).
   std::vector<double> survival(bins);
   for (int m = 0; m < bins; ++m) {
     survival[m] = std::max(0.0, 1.0 - write_leg_.CdfAtEdge(m));
   }
-  std::vector<double> read_rev(bins);
-  for (int j = 0; j < bins; ++j) read_rev[j] = read_leg.mass(bins - 1 - j);
-  const std::vector<double> conv = ConvolveReal(read_rev, survival);
-  // conv[ui + bins - 1] = sum_j r[j] * Sw[ui + j]; Sw is zero beyond the
-  // grid, so q vanishes for u >= max_ms (the upper half of the table).
+  const std::vector<double> corr =
+      fft.InverseProduct(r.spectrum, fft.Forward(survival),
+                         /*conjugate_a=*/true, bins);
   q_.assign(2 * static_cast<size_t>(bins), 0.0);
-  for (int ui = 0; ui < bins; ++ui) {
-    q_[ui] = ClampProbability(conv[ui + bins - 1]);
-  }
+  for (int ui = 0; ui < bins; ++ui) q_[ui] = ClampProbability(corr[ui]);
 }
 
 StatusOr<AnalyticScenarioPtr> MakeAnalyticScenario(

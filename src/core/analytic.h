@@ -28,7 +28,7 @@ class DiscretizedDistribution {
   /// Sum of two independent variables (both inputs must share the same
   /// grid). Bin-center masses land exactly on bin edges, so each product
   /// mass is split evenly across the two straddled bins — this keeps the
-  /// mean exact (see Convolve in analytic.cc). Large grids go through an
+  /// mean exact (see FoldSum in analytic.cc). Large grids go through an
   /// O(bins log bins) FFT; small ones use the direct O(bins^2) loop.
   static DiscretizedDistribution Convolve(const DiscretizedDistribution& a,
                                           const DiscretizedDistribution& b);
@@ -62,9 +62,17 @@ class DiscretizedDistribution {
   double Mean() const;
 
  private:
+  friend class AnalyticScenario;  // folds its own FFT products (FoldSum)
+
+  DiscretizedDistribution() = default;
   DiscretizedDistribution(double step, std::vector<double> pmf);
 
-  double step_;
+  /// The grid distribution of a sum from the full linear convolution `full`
+  /// (length 2 * bins - 1) of two `bins`-bin pmfs on grid `step`.
+  static DiscretizedDistribution FoldSum(double step, int bins,
+                                         std::vector<double> full);
+
+  double step_ = 0.0;
   std::vector<double> pmf_;
   std::vector<double> cdf_;  // cumulative at bin upper edges
 };

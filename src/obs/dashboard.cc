@@ -18,7 +18,10 @@ namespace {
 // ---------------------------------------------------------------------------
 // Minimal JSON reader for the telemetry artifact's own output schema
 // (objects, arrays, strings, numbers, booleans). Tolerant: a malformed
-// line parses to an empty object and is skipped by the renderer.
+// line — including one nested deeper than kMaxJsonDepth, which the schema
+// never is — fails the parse and is skipped by the renderer.
+
+constexpr int kMaxJsonDepth = 64;
 
 struct JsonValue {
   enum Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind = kNull;
@@ -46,7 +49,7 @@ class JsonReader {
  public:
   explicit JsonReader(const std::string& text) : text_(text) {}
 
-  bool Parse(JsonValue* out) { return ParseValue(out) && true; }
+  bool Parse(JsonValue* out) { return ParseValue(out, 0); }
 
  private:
   void SkipSpace() {
@@ -72,15 +75,20 @@ class JsonReader {
         switch (escaped) {
           case 'n': out->push_back('\n'); break;
           case 't': out->push_back('\t'); break;
-          case 'u':
-            if (pos_ + 4 <= text_.size()) {
-              const int code =
-                  static_cast<int>(std::strtol(
-                      text_.substr(pos_, 4).c_str(), nullptr, 16));
-              pos_ += 4;
-              out->push_back(static_cast<char>(code < 128 ? code : '?'));
+          case 'u': {
+            // Exactly four hex digits; anything else is malformed.
+            if (pos_ + 4 > text_.size()) return false;
+            int code = 0;
+            for (int i = 0; i < 4; ++i) {
+              const char h = text_[pos_++];
+              if (!std::isxdigit(static_cast<unsigned char>(h))) return false;
+              code = code * 16 + (std::isdigit(static_cast<unsigned char>(h))
+                                      ? h - '0'
+                                      : std::tolower(h) - 'a' + 10);
             }
+            out->push_back(static_cast<char>(code < 128 ? code : '?'));
             break;
+          }
           default: out->push_back(escaped);
         }
       } else {
@@ -89,9 +97,9 @@ class JsonReader {
     }
     return false;
   }
-  bool ParseValue(JsonValue* out) {
+  bool ParseValue(JsonValue* out, int depth) {
     SkipSpace();
-    if (pos_ >= text_.size()) return false;
+    if (pos_ >= text_.size() || depth > kMaxJsonDepth) return false;
     const char c = text_[pos_];
     if (c == '{') {
       ++pos_;
@@ -102,7 +110,7 @@ class JsonReader {
         std::string key;
         if (!ParseString(&key) || !Consume(':')) return false;
         JsonValue value;
-        if (!ParseValue(&value)) return false;
+        if (!ParseValue(&value, depth + 1)) return false;
         out->fields.emplace(std::move(key), std::move(value));
         if (Consume('}')) return true;
         if (!Consume(',')) return false;
@@ -115,7 +123,7 @@ class JsonReader {
       if (Consume(']')) return true;
       while (true) {
         JsonValue value;
-        if (!ParseValue(&value)) return false;
+        if (!ParseValue(&value, depth + 1)) return false;
         out->items.push_back(std::move(value));
         if (Consume(']')) return true;
         if (!Consume(',')) return false;

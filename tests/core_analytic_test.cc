@@ -182,6 +182,35 @@ TEST(AnalyticGridTest, ScenarioConstructionHonorsTheResolvedBound) {
   EXPECT_EQ(scenario.value()->bins(), defaults.bins);
 }
 
+TEST(AnalyticGridTest, SharedLegSpectraMatchDirectReferences) {
+  // The scenario transforms each distinct leg once and reuses the spectra
+  // across w+a, r+s and the q correlation. At 400 bins Convolve takes the
+  // exact direct path, so it and an O(bins^2) q loop are the reference.
+  // LNKD-DISK has distinct W and shared A/R/S objects, covering both.
+  const WarsDistributions legs = LnkdDisk();
+  const int bins = 400;
+  const double max_ms = 200.0;
+  const AnalyticScenario scenario(legs, max_ms, bins);
+  const auto w = DiscretizedDistribution::FromDistribution(*legs.w, max_ms,
+                                                           bins);
+  const auto a = DiscretizedDistribution::FromDistribution(*legs.a, max_ms,
+                                                           bins);
+  const auto wa = DiscretizedDistribution::Convolve(w, a);
+  const auto rs = DiscretizedDistribution::Convolve(a, a);
+  for (int i = 0; i < bins; ++i) {
+    EXPECT_NEAR(scenario.write_ack().CdfAtEdge(i), wa.CdfAtEdge(i), 1e-14)
+        << i;
+    EXPECT_NEAR(scenario.read_response().CdfAtEdge(i), rs.CdfAtEdge(i),
+                1e-14)
+        << i;
+    double q = 0.0;
+    for (int j = 0; i + j < bins; ++j) {
+      q += a.mass(j) * std::max(0.0, 1.0 - w.CdfAtEdge(i + j));
+    }
+    EXPECT_NEAR(scenario.q(i), q, 1e-14) << i;
+  }
+}
+
 TEST(AnalyticWarsTest, LatencyQuantilesMatchMonteCarloExactly) {
   // Operation latencies are pure order statistics: the analytic solver and
   // the sampler must agree to grid + sampling resolution.

@@ -97,12 +97,12 @@ const PinnedDecision kMonteCarloPins[] = {
     {{3, 1, 1}, 0x1.c61475dd959ap+0, 0x1.6270a1a068d8p-1, true, true},
 };
 const PinnedDecision kAnalyticPins[] = {
-    {{3, 1, 1}, 0x1.eeea49ad1f517p+0, 0x1.4f519ca112f37p-1, true, false},
-    {{3, 1, 1}, 0x1.eeea49ad1f517p+0, 0x1.4f519ca112f37p-1, true, false},
-    {{3, 3, 1}, 0x0p+0, 0x1.e174d68eab581p+2, true, true},
-    {{3, 3, 1}, 0x0p+0, 0x1.e174d68eab581p+2, true, false},
-    {{3, 3, 1}, 0x0p+0, 0x1.ccbfc2a5b9de5p+6, true, false},
-    {{3, 1, 1}, 0x1.eeea49ad1f517p+0, 0x1.4f519ca112f37p-1, true, true},
+    {{3, 1, 1}, 0x1.eeea49ad1f517p+0, 0x1.4f519ca1139bap-1, true, false},
+    {{3, 1, 1}, 0x1.eeea49ad1f517p+0, 0x1.4f519ca1139bap-1, true, false},
+    {{3, 3, 1}, 0x0p+0, 0x1.e174d68ecb73p+2, true, true},
+    {{3, 3, 1}, 0x0p+0, 0x1.e174d68ecb73p+2, true, false},
+    {{3, 3, 1}, 0x0p+0, 0x1.ccbfc2a62bd79p+6, true, false},
+    {{3, 1, 1}, 0x1.eeea49ad1f517p+0, 0x1.4f519ca1139bap-1, true, true},
 };
 
 void ExpectDecisions(PredictorBackend backend,

@@ -57,6 +57,8 @@
 // Scenarios: lnkd-ssd | lnkd-disk | ymmr | wan (Table 3 fits of the paper).
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -115,18 +117,34 @@ class Args {
     return it == values_.end() ? fallback : it->second;
   }
   double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return GetNumber(key, fallback);
   }
   int GetInt(const std::string& key, int fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    return GetNumber(key, fallback);
   }
   bool GetBool(const std::string& key) const {
     return values_.count(key) && values_.at(key) != "false";
   }
 
  private:
+  // The whole value must parse as a finite T in range ("1e6" is not an int,
+  // "12abc" is not a number); anything else names the flag and exits 1.
+  template <typename T>
+  T GetNumber(const std::string& key, T fallback) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || end != text.data() + text.size() ||
+        !std::isfinite(static_cast<double>(value))) {
+      std::cerr << "invalid value for --" << key << ": '" << text << "'\n";
+      std::exit(1);
+    }
+    return value;
+  }
+
   std::map<std::string, std::string> values_;
   bool ok_ = true;
 };
