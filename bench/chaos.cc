@@ -32,6 +32,7 @@
 #include "kvs/failure.h"
 #include "obs/exporters.h"
 #include "util/parallel.h"
+#include "util/radix_sort.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -162,7 +163,7 @@ kvs::ChaosSummary RunScenario(const Scenario& scenario, bool hedged,
     }
     read_pool.insert(read_pool.end(), out.reads.begin(), out.reads.end());
   }
-  std::sort(read_pool.begin(), read_pool.end());
+  SortSamples(&read_pool);
   if (!read_pool.empty()) {
     pooled.read_p50 = QuantileSorted(read_pool, 0.50);
     pooled.read_p99 = QuantileSorted(read_pool, 0.99);

@@ -3,12 +3,12 @@
 // tables and reports N-RMSE, next to the paper's published Table 3
 // parameters evaluated against the same tables.
 
-#include <algorithm>
 #include <iostream>
 
 #include "bench/bench_util.h"
 #include "dist/fit.h"
 #include "dist/production.h"
+#include "util/radix_sort.h"
 #include "util/csv.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -55,7 +55,7 @@ std::vector<double> RecomposedQuantiles(const FitTarget& target,
                   ? set.read_latencies
                   : set.write_latencies;
   }
-  std::sort(samples.begin(), samples.end());
+  SortSamples(&samples);
   std::vector<double> out;
   for (const auto& pt : target.points) {
     out.push_back(QuantileSorted(samples, pt.percentile / 100.0));

@@ -18,6 +18,7 @@
 #include "kvs/client.h"
 #include "kvs/cluster.h"
 #include "kvs/profiler.h"
+#include "util/radix_sort.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -102,7 +103,7 @@ int main(int argc, char** argv) {
   // 5. Refit the Table 3 mixture family to the measured write leg.
   std::cout << "\n[5/5] mixture refit of the measured write leg:\n";
   std::vector<double> sorted = profiler.samples(legs[0].leg);
-  std::sort(sorted.begin(), sorted.end());
+  SortSamples(&sorted);
   std::vector<PercentilePoint> points;
   for (double pct : {5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9}) {
     points.push_back({pct, QuantileSorted(sorted, pct / 100.0)});

@@ -1,6 +1,5 @@
 #include "core/adaptive.h"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <memory>
@@ -8,6 +7,7 @@
 
 #include "core/analytic.h"
 #include "util/math.h"
+#include "util/radix_sort.h"
 #include "util/stats.h"
 
 namespace pbs {
@@ -89,8 +89,8 @@ MixedQuorumEvaluation EvaluateMixedQuorum(const MixedQuorum& quorum,
                                      sla.staleness_bound_ms);
     hi_reads = std::move(set.read_latencies);
     hi_writes = std::move(set.write_latencies);
-    std::sort(hi_reads.begin(), hi_reads.end());
-    std::sort(hi_writes.begin(), hi_writes.end());
+    SortSamples(&hi_reads);
+    SortSamples(&hi_writes);
   }
   if (mix_lo > 0.0) {
     const QuorumConfig lo{quorum.n, quorum.r_lo, quorum.w};
@@ -104,8 +104,8 @@ MixedQuorumEvaluation EvaluateMixedQuorum(const MixedQuorum& quorum,
                                      sla.staleness_bound_ms);
     lo_reads = std::move(set.read_latencies);
     lo_writes = std::move(set.write_latencies);
-    std::sort(lo_reads.begin(), lo_reads.end());
-    std::sort(lo_writes.begin(), lo_writes.end());
+    SortSamples(&lo_reads);
+    SortSamples(&lo_writes);
   }
   eval.fresh_probability = fresh;
   eval.read_p99_ms =
@@ -175,8 +175,6 @@ MixedQuorumPredictor::MixedQuorumPredictor(const SlaTarget& sla,
   predictor.validation = options_.validation;
   auto resolved = ResolvePredictorBackend({probe.n, probe.r_hi, probe.w},
                                           model_, predictor);
-  assert((resolved.ok() || options_.backend != PredictorBackend::kAnalytic) &&
-         "backend=analytic requires an IID latency model and a valid grid");
   if (resolved.ok()) {
     resolved_ = std::move(resolved.value());
   } else {

@@ -107,8 +107,7 @@ class MixedQuorumPredictor {
 
   /// Infallible by design (the controller cannot surface a Status mid-epoch):
   /// a resolution error — non-IID model under kAnalytic, a bad grid — falls
-  /// back to Monte Carlo and records why in note(). Debug builds assert on
-  /// kAnalytic misuse.
+  /// back to Monte Carlo and records why in note().
   MixedQuorumPredictor(const SlaTarget& sla, ReplicaLatencyModelPtr model,
                        const MixedQuorum& probe, const Options& options);
 

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "util/math.h"
+#include "util/radix_sort.h"
 #include "util/small_sort.h"
 #include "util/stats.h"
 
@@ -14,7 +15,7 @@ namespace pbs {
 TVisibilityCurve::TVisibilityCurve(std::vector<double> thresholds)
     : sorted_thresholds_(std::move(thresholds)) {
   assert(!sorted_thresholds_.empty());
-  std::sort(sorted_thresholds_.begin(), sorted_thresholds_.end());
+  SortSamples(&sorted_thresholds_);
 }
 
 double TVisibilityCurve::ProbConsistent(double t) const {

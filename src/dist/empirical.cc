@@ -1,9 +1,9 @@
 #include "dist/empirical.h"
 
-#include <algorithm>
 #include <cassert>
 #include <numeric>
 
+#include "util/radix_sort.h"
 #include "util/stats.h"
 
 namespace pbs {
@@ -11,7 +11,7 @@ namespace pbs {
 EmpiricalDistribution::EmpiricalDistribution(std::vector<double> samples)
     : sorted_(std::move(samples)) {
   assert(!sorted_.empty());
-  std::sort(sorted_.begin(), sorted_.end());
+  SortSamples(&sorted_);
   mean_ = std::accumulate(sorted_.begin(), sorted_.end(), 0.0) /
           static_cast<double>(sorted_.size());
 }

@@ -10,6 +10,7 @@
 #include "dist/empirical.h"
 #include "kvs/cluster.h"
 #include "obs/json.h"
+#include "util/radix_sort.h"
 #include "util/stats.h"
 
 namespace pbs {
@@ -94,7 +95,7 @@ ConsistencyController::Measurement ConsistencyController::MeasureWindow() {
   if (m.reads > 0) {
     std::vector<double> window(samples.begin() + read_latency_seen_,
                                samples.end());
-    std::sort(window.begin(), window.end());
+    SortSamples(&window);
     m.read_p99_ms = QuantileSorted(window, 0.99);
   }
   int64_t fresh = 0, stale = 0;

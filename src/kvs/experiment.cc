@@ -12,6 +12,7 @@
 #include "obs/exporters.h"
 #include "obs/monitor.h"
 #include "obs/timeseries.h"
+#include "util/radix_sort.h"
 
 namespace pbs {
 namespace kvs {
@@ -215,9 +216,9 @@ ChaosSummary Summarize(const StalenessExperimentOptions& options,
       m.fault_flapping_activations + m.fault_asymmetric_partition_activations;
 
   std::vector<double> reads = run.read_latencies;
-  std::sort(reads.begin(), reads.end());
+  SortSamples(&reads);
   std::vector<double> writes = run.write_latencies;
-  std::sort(writes.begin(), writes.end());
+  SortSamples(&writes);
   if (!reads.empty()) {
     s.read_p50 = QuantileSorted(reads, 0.50);
     s.read_p99 = QuantileSorted(reads, 0.99);
@@ -347,8 +348,8 @@ ChaosCampaignResult RunChaosTrials(const ChaosTrialOptions& options,
     result.trials.push_back(std::move(out.summary));
   }
   result.metrics_jsonl = obs::MetricsJsonl(campaign_registry);
-  std::sort(read_pool.begin(), read_pool.end());
-  std::sort(write_pool.begin(), write_pool.end());
+  SortSamples(&read_pool);
+  SortSamples(&write_pool);
   if (!read_pool.empty()) {
     pooled.read_p50 = QuantileSorted(read_pool, 0.50);
     pooled.read_p99 = QuantileSorted(read_pool, 0.99);
@@ -494,8 +495,8 @@ ControllerCampaignResult RunControllerTrials(
   }
   result.pooled_digest = digest;
   result.pooled_telemetry_digest = telemetry_digest;
-  std::sort(read_pool.begin(), read_pool.end());
-  std::sort(write_pool.begin(), write_pool.end());
+  SortSamples(&read_pool);
+  SortSamples(&write_pool);
   if (!read_pool.empty()) {
     pooled.read_p50 = QuantileSorted(read_pool, 0.50);
     pooled.read_p99 = QuantileSorted(read_pool, 0.99);

@@ -1,16 +1,7 @@
 #include "kvs/metrics.h"
 
-#include <algorithm>
-
 namespace pbs {
 namespace kvs {
-
-double LatencyRecorder::Quantile(double q) const {
-  if (samples_.empty()) return 0.0;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  return QuantileSorted(sorted, q);
-}
 
 void ConsistencyByOffset::Record(double t, bool consistent) {
   Point& point = by_offset_[t];

@@ -26,15 +26,6 @@ class LatencyRecorder {
   /// Sorted percentile view; requires at least one sample.
   LatencyProfile ToProfile() const { return LatencyProfile(samples_); }
 
-  /// Interpolated (type-7) quantile of the recorded samples, delegating to
-  /// util/stats.h::QuantileSorted — the one quantile definition this repo
-  /// standardizes on, so bench CSVs, metrics exports and LatencyProfile
-  /// percentiles cannot disagree (the deliberate exception is the
-  /// nearest-rank CeilProbabilityRank inside core/tvisibility, which needs
-  /// an achieved-probability guarantee, not an interpolated estimate).
-  /// Empty-safe: returns 0 with no samples instead of asserting.
-  double Quantile(double q) const;
-
  private:
   std::vector<double> samples_;
 };

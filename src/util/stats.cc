@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <limits>
 
+#include "util/radix_sort.h"
+
 namespace pbs {
 
 void RunningStats::Add(double x) {
@@ -54,7 +56,7 @@ double QuantileSorted(const std::vector<double>& sorted, double q) {
 
 std::vector<double> Quantiles(std::vector<double> samples,
                               const std::vector<double>& qs) {
-  std::sort(samples.begin(), samples.end());
+  SortSamples(&samples);
   std::vector<double> out;
   out.reserve(qs.size());
   for (double q : qs) out.push_back(QuantileSorted(samples, q));

@@ -27,6 +27,9 @@
 //   pbs predict-trace --w=w.txt --a=a.txt --rr=r.txt --s=s.txt --n=3 --r=1
 //                --w-quorum=1       (predict from measured leg traces)
 //
+// A flag the subcommand does not read is an error ("unknown flag --KEY for
+// SUBCOMMAND", exit 1), as is a numeric value that does not parse whole.
+//
 // Fault SPECs (gray-failure injection; times default to the whole run):
 //   slow:node=2,factor=10[,add=0]      outbound delays of node scaled/shifted
 //   lossy:src=0,dst=4,loss=0.8[,g2b=0.02,b2g=0.2]   Gilbert-Elliott bursts
@@ -56,7 +59,6 @@
 //
 // Scenarios: lnkd-ssd | lnkd-disk | ymmr | wan (Table 3 fits of the paper).
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -66,7 +68,9 @@
 #include <iostream>
 #include <iterator>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analytic.h"
@@ -81,6 +85,7 @@
 #include "obs/exporters.h"
 #include "obs/monitor.h"
 #include "pbs/config.h"
+#include "util/radix_sort.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -88,10 +93,12 @@ namespace {
 
 using namespace pbs;
 
-/// Minimal --key=value / --flag parser.
+/// Minimal --key=value / --flag parser. It records every key a subcommand
+/// reads, so flags the subcommand never reads can be rejected.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(std::string command, int argc, char** argv, int first)
+      : command_(std::move(command)) {
     for (int i = first; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) {
@@ -111,10 +118,24 @@ class Args {
 
   bool ok() const { return ok_; }
 
+  /// False, naming each one, if a flag was given that the subcommand never
+  /// read. Call once the subcommand has read all of its flags, before it
+  /// does any work.
+  bool KnownFlagsOnly() const {
+    bool known = true;
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) == 0) {
+        std::cerr << "unknown flag --" << key << " for " << command_ << "\n";
+        known = false;
+      }
+    }
+    return known;
+  }
+
   std::string GetString(const std::string& key,
                         const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const std::string* value = Find(key);
+    return value == nullptr ? fallback : *value;
   }
   double GetDouble(const std::string& key, double fallback) const {
     return GetNumber(key, fallback);
@@ -123,17 +144,24 @@ class Args {
     return GetNumber(key, fallback);
   }
   bool GetBool(const std::string& key) const {
-    return values_.count(key) && values_.at(key) != "false";
+    const std::string* value = Find(key);
+    return value != nullptr && *value != "false";
   }
 
  private:
+  const std::string* Find(const std::string& key) const {
+    read_.insert(key);
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
   // The whole value must parse as a finite T in range ("1e6" is not an int,
   // "12abc" is not a number); anything else names the flag and exits 1.
   template <typename T>
   T GetNumber(const std::string& key, T fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    const std::string& text = it->second;
+    const std::string* found = Find(key);
+    if (found == nullptr) return fallback;
+    const std::string& text = *found;
     T value{};
     const auto [end, ec] =
         std::from_chars(text.data(), text.data() + text.size(), value);
@@ -145,7 +173,9 @@ class Args {
     return value;
   }
 
+  std::string command_;
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
   bool ok_ = true;
 };
 
@@ -235,24 +265,22 @@ int PrintPrediction(const QuorumConfig& config,
 int CmdPredict(const Args& args) {
   const QuorumConfig config{args.GetInt("n", 3), args.GetInt("r", 1),
                             args.GetInt("w", 1)};
+  const std::string scenario = args.GetString("scenario", "lnkd-disk");
+  PredictorOptions options;
+  options.trials = args.GetInt("trials", 200000);
+  if (!ParseBackendFlags(args, &options) || !args.KnownFlagsOnly()) return 1;
   const Status valid = ValidateQuorumConfig(config);
   if (!valid.ok()) {
     std::cerr << valid.message() << "\n";
     return 1;
   }
-  const std::string scenario = args.GetString("scenario", "lnkd-disk");
-  PredictorOptions options;
-  options.trials = args.GetInt("trials", 200000);
-  if (!ParseBackendFlags(args, &options)) return 1;
   return PrintPrediction(config, ScenarioModelOrDefault(scenario, config.n),
                          options);
 }
 
 int CmdSla(const Args& args) {
   const std::string scenario = args.GetString("scenario", "lnkd-disk");
-  SlaOptimizer optimizer(
-      [&scenario](int n) { return ScenarioModelOrDefault(scenario, n); },
-      args.GetInt("trials", 50000), /*seed=*/42);
+  const int trials = args.GetInt("trials", 50000);
   SlaConstraints constraints;
   constraints.min_n = args.GetInt("min-n", 2);
   constraints.max_n = args.GetInt("max-n", 5);
@@ -263,6 +291,10 @@ int CmdSla(const Args& args) {
   const double read_fraction = args.GetDouble("read-fraction", 0.5);
   objective.read_weight = read_fraction;
   objective.write_weight = 1.0 - read_fraction;
+  if (!args.KnownFlagsOnly()) return 1;
+  SlaOptimizer optimizer(
+      [&scenario](int n) { return ScenarioModelOrDefault(scenario, n); },
+      trials, /*seed=*/42);
   const auto best = optimizer.Optimize(constraints, objective);
   if (!best.ok() && best.status().code() == StatusCode::kInvalidArgument) {
     std::cerr << best.status().message() << "\n";
@@ -287,6 +319,10 @@ int CmdLevels(const Args& args) {
   const int n = args.GetInt("n", 3);
   const auto read_level = ParseLevel(args.GetString("read", "one"));
   const auto write_level = ParseLevel(args.GetString("write", "one"));
+  const std::string scenario = args.GetString("scenario", "lnkd-disk");
+  PredictorOptions options;
+  options.trials = args.GetInt("trials", 200000);
+  if (!ParseBackendFlags(args, &options) || !args.KnownFlagsOnly()) return 1;
   if (!read_level.ok() || !write_level.ok()) {
     std::cerr << (read_level.ok() ? write_level.status().message()
                                   : read_level.status().message())
@@ -299,19 +335,16 @@ int CmdLevels(const Args& args) {
     std::cerr << config.status().message() << "\n";
     return 1;
   }
-  const std::string scenario = args.GetString("scenario", "lnkd-disk");
   std::printf("consistency levels %s/%s at N=%d =>\n",
               kvs::ToString(read_level.value()).c_str(),
               kvs::ToString(write_level.value()).c_str(), n);
-  PredictorOptions options;
-  options.trials = args.GetInt("trials", 200000);
-  if (!ParseBackendFlags(args, &options)) return 1;
   return PrintPrediction(config.value(), ScenarioModelOrDefault(scenario, n),
                          options);
 }
 
 int CmdFit(const Args& args) {
   const std::string path = args.GetString("trace", "");
+  if (!args.KnownFlagsOnly()) return 1;
   if (path.empty()) {
     std::cerr << "--trace=<file> required (one latency per line)\n";
     return 1;
@@ -323,7 +356,7 @@ int CmdFit(const Args& args) {
   }
   std::vector<PercentilePoint> points;
   auto sorted = samples.value();
-  std::sort(sorted.begin(), sorted.end());
+  SortSamples(&sorted);
   for (double pct : {5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9}) {
     points.push_back({pct, QuantileSorted(sorted, pct / 100.0)});
   }
@@ -381,6 +414,13 @@ int CmdSimulate(const Args& args) {
   // --sla="p=0.999,t=10,p99<=15" declares the staleness/latency target;
   // --controller switches the closed loop on against it (see kvs/controller.h).
   const std::string sla_spec = args.GetString("sla", "");
+  // The controller's flags are read whether or not --controller is on, so
+  // they are never reported as unknown.
+  const bool controller = args.GetBool("controller");
+  const double controller_epoch_ms =
+      args.GetDouble("controller-epoch-ms", 2000.0);
+  const std::string backend_name = args.GetString("backend", "mc");
+  ParseGridFlags(args, &config.controller.grid);  // Unused when it is off.
   if (!sla_spec.empty()) {
     const StatusOr<SlaTarget> target = SlaTarget::Parse(sla_spec);
     if (!target.ok()) {
@@ -389,24 +429,23 @@ int CmdSimulate(const Args& args) {
     }
     config.WithSla(target.value());
   }
-  if (args.GetBool("controller")) {
+  if (controller) {
     if (sla_spec.empty()) {
       std::cerr << "--controller requires --sla=\"p=...,t=...,p99<=...\"\n";
       return 1;
     }
     config.controller.enabled = true;
-    config.controller.epoch_ms = args.GetDouble("controller-epoch-ms", 2000.0);
+    config.controller.epoch_ms = controller_epoch_ms;
     // --backend steers the controller's per-epoch predictor (mc keeps the
     // historical bitwise-deterministic decision streams; analytic/auto run
     // the grid solver over the sensed legs).
     const StatusOr<PredictorBackend> backend =
-        ParsePredictorBackend(args.GetString("backend", "mc"));
+        ParsePredictorBackend(backend_name);
     if (!backend.ok()) {
       std::cerr << backend.status().message() << "\n";
       return 1;
     }
     config.WithPredictorBackend(backend.value());
-    ParseGridFlags(args, &config.controller.grid);
   }
 
   const std::string trace_out = PathFlag(args, "trace", "pbs_trace.json");
@@ -424,15 +463,17 @@ int CmdSimulate(const Args& args) {
   const std::string dashboard_out =
       PathFlag(args, "dashboard-out", "pbs_dashboard.html");
   double window_ms = args.GetDouble("window-ms", 0.0);
-  if (window_ms <= 0.0 && (!timeseries_out.empty() || !dashboard_out.empty() ||
-                           args.GetBool("monitor"))) {
+  const int windows = args.GetInt("windows", 512);
+  const bool monitor = args.GetBool("monitor");
+  if (!args.KnownFlagsOnly()) return 1;
+  if (window_ms <= 0.0 &&
+      (!timeseries_out.empty() || !dashboard_out.empty() || monitor)) {
     window_ms = 500.0;
   }
   if (window_ms > 0.0) {
-    config.WithTelemetry(window_ms,
-                         static_cast<size_t>(args.GetInt("windows", 512)));
+    config.WithTelemetry(window_ms, static_cast<size_t>(windows));
   }
-  if (args.GetBool("monitor")) config.WithMonitor();
+  if (monitor) config.WithMonitor();
 
   const Status valid = config.Validate();
   if (!valid.ok()) {
@@ -554,6 +595,8 @@ int CmdSimulate(const Args& args) {
 int CmdReport(const Args& args) {
   const std::string in_path = args.GetString("telemetry", "pbs_telemetry.jsonl");
   const std::string out_path = args.GetString("out", "pbs_report.html");
+  const std::string title = args.GetString("title", "PBS consistency report");
+  if (!args.KnownFlagsOnly()) return 1;
   std::ifstream in(in_path);
   if (!in) {
     std::cerr << "cannot open " << in_path
@@ -562,7 +605,6 @@ int CmdReport(const Args& args) {
   }
   std::string telemetry((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
-  const std::string title = args.GetString("title", "PBS consistency report");
   return WriteArtifact(out_path, obs::RenderDashboardHtml(telemetry, title),
                        "consistency dashboard (html)")
              ? 0
@@ -572,20 +614,22 @@ int CmdReport(const Args& args) {
 int CmdAnalytic(const Args& args) {
   const QuorumConfig config{args.GetInt("n", 3), args.GetInt("r", 1),
                             args.GetInt("w", 1)};
+  const std::string scenario = args.GetString("scenario", "lnkd-disk");
+  const double max_ms = args.GetDouble("max-ms", 4000.0);
+  const int bins = args.GetInt("bins", 20000);
+  if (!args.KnownFlagsOnly()) return 1;
   const Status valid = ValidateQuorumConfig(config);
   if (!valid.ok()) {
     std::cerr << valid.message() << "\n";
     return 1;
   }
-  const std::string scenario = args.GetString("scenario", "lnkd-disk");
   if (scenario == "wan") {
     std::cerr << "the analytic solver assumes IID replicas; WAN is "
                  "per-replica — use `predict --scenario=wan`\n";
     return 1;
   }
-  const AnalyticWars analytic(config, ScenarioLegsOrDefault(scenario),
-                              args.GetDouble("max-ms", 4000.0),
-                              args.GetInt("bins", 20000));
+  const AnalyticWars analytic(config, ScenarioLegsOrDefault(scenario), max_ms,
+                              bins);
   std::printf("analytic (grid) WARS for %s over %s:\n",
               config.ToString().c_str(), scenario.c_str());
   TextTable table({"metric", "value"});
@@ -614,33 +658,34 @@ int CmdPredictTrace(const Args& args) {
   struct LegArg {
     const char* flag;
     DistributionPtr* slot;
+    std::string path;
   };
-  LegArg leg_args[] = {{"w", &legs.w}, {"a", &legs.a},
-                       {"rr", &legs.r}, {"s", &legs.s}};
-  for (auto& leg : leg_args) {
-    const std::string path = args.GetString(leg.flag, "");
-    if (path.empty()) {
+  LegArg leg_args[] = {{"w", &legs.w, ""}, {"a", &legs.a, ""},
+                       {"rr", &legs.r, ""}, {"s", &legs.s, ""}};
+  for (auto& leg : leg_args) leg.path = args.GetString(leg.flag, "");
+  const QuorumConfig config{args.GetInt("n", 3), args.GetInt("r", 1),
+                            args.GetInt("w-quorum", 1)};
+  PredictorOptions options;
+  options.trials = args.GetInt("trials", 200000);
+  if (!ParseBackendFlags(args, &options) || !args.KnownFlagsOnly()) return 1;
+  for (const auto& leg : leg_args) {
+    if (leg.path.empty()) {
       std::cerr << "--" << leg.flag << "=<trace file> required "
                 << "(legs: --w --a --rr --s)\n";
       return 1;
     }
-    auto dist = LoadTraceDistribution(path);
+    auto dist = LoadTraceDistribution(leg.path);
     if (!dist.ok()) {
       std::cerr << dist.status().message() << "\n";
       return 1;
     }
     *leg.slot = dist.value();
   }
-  const QuorumConfig config{args.GetInt("n", 3), args.GetInt("r", 1),
-                            args.GetInt("w-quorum", 1)};
   const Status valid = ValidateQuorumConfig(config);
   if (!valid.ok()) {
     std::cerr << valid.message() << "\n";
     return 1;
   }
-  PredictorOptions options;
-  options.trials = args.GetInt("trials", 200000);
-  if (!ParseBackendFlags(args, &options)) return 1;
   return PrintPrediction(config, MakeIidModel(legs, config.n), options);
 }
 
@@ -668,7 +713,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string command = argv[1];
-  const Args args(argc, argv, 2);
+  const Args args(command, argc, argv, 2);
   if (!args.ok()) return 1;
   if (command == "predict") return CmdPredict(args);
   if (command == "analytic") return CmdAnalytic(args);
